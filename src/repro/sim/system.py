@@ -46,7 +46,6 @@ from repro.obs.profiler import PhaseProfiler, ProgressMeter
 from repro.obs.registry import MetricsRegistry
 from repro.sched.controller import MemoryController
 from repro.sched.request import KIND_DEMAND, KIND_IMP_PREFETCH, KIND_PT, MemoryRequest
-from repro.sim.kernel import DEFAULT_BATCH_SIZE, BatchKernel
 from repro.sim.metrics import (
     CoreResult,
     DramReferenceBreakdown,
@@ -129,8 +128,6 @@ class SystemSimulator:
         check_invariants=None,
         force_engine=False,
         timeline=None,
-        kernel=None,
-        batch_size=DEFAULT_BATCH_SIZE,
     ):
         if isinstance(traces, (list, tuple)):
             trace_list = list(traces)
@@ -165,23 +162,6 @@ class SystemSimulator:
         #: when the TLB-hit fast path would apply (the fast-vs-engine
         #: differential oracle forces both paths on the same input).
         self._force_engine = bool(force_engine)
-        #: Which hot-loop kernel drives regular records: "scalar" (the
-        #: per-reference fast path) or "batch" (the vectorized
-        #: chunk-classify kernel in :mod:`repro.sim.kernel`).  Both are
-        #: bit-identical; "batch" trades per-record dispatch for bulk
-        #: stat application.
-        if kernel not in (None, "scalar", "batch"):
-            raise ConfigError(
-                "kernel must be 'scalar' or 'batch', got %r" % (kernel,),
-                context={"kernel": kernel},
-            )
-        self.kernel = kernel or "scalar"
-        if batch_size < 1:
-            raise ConfigError(
-                "batch_size must be >= 1, got %r" % (batch_size,),
-                context={"batch_size": batch_size, "kernel": self.kernel},
-            )
-        self._batch_size = int(batch_size)
         #: Nullable invariant-audit suite + flight recorder
         #: (:mod:`repro.verify`); like the tracer, hot paths pay one
         #: ``is None`` test when ``check_invariants`` is off.
@@ -327,33 +307,18 @@ class SystemSimulator:
             self.seed,
             [core.trace for core in self.cores],
             warmup_records=warmup,
-            kernel=self.kernel,
         )
         sampler = self.timeline.sampler if self.timeline is not None else None
         if sampler is not None:
             sampler.bind(lambda: self.metrics_registry().collect())
         profiler = self.profiler
-        # The batch kernel only claims regular records on cores without
-        # observers attached; tracing, timelines, audits, force-engine,
-        # and IMP all drain through the scalar engine paths unchanged.
-        batch_ok = (
-            self.kernel == "batch"
-            and self.tracer is None
-            and self.timeline is None
-            and self.audit is None
-            and not self._force_engine
-        )
         try:
             if len(self.cores) == 1:
                 profiler.begin("warmup" if warmup > 0 else "measure")
-                core = self.cores[0]
-                if batch_ok and core.imp is None:
-                    self._run_batch_single(core, limits[0], warmup, meter)
-                else:
-                    self._run_single(core, limits[0], warmup, meter)
+                self._run_single(self.cores[0], limits[0], warmup, meter)
             else:
                 profiler.begin("simulate")
-                self._run_interleaved(limits, warmup, meter, batch=batch_ok)
+                self._run_interleaved(limits, warmup, meter)
             profiler.begin("drain")
             final_time = self.controller.drain_all()
             if self.audit is not None:
@@ -509,39 +474,7 @@ class SystemSimulator:
             if sampler is not None:
                 sampler.maybe_sample(core.time)
 
-    def _run_batch_single(self, core, limit, warmup, meter=None):
-        """Single-core driver for ``--kernel batch``.
-
-        A :class:`~repro.sim.kernel.BatchKernel` drives the core
-        between page walks: maximal runs of regular records (L1 TLB hit
-        + L1 cache hit) are consumed in bulk, irregular TLB-hit records
-        take the same inline fast path as :meth:`_run_single`, and only
-        full TLB misses return here to drain through the event engine
-        (with the probe already done).  The warmup boundary caps each
-        drive so measurement reset happens at exactly the same position
-        as the scalar drivers.
-        """
-        kernel = BatchKernel(self, core, self._batch_size)
-        records = core.trace.records
-
-        while core.position < limit:
-            if core.position == warmup:
-                self._reset_measurement(core)
-                self.energy.reset()
-                self.profiler.begin("measure")
-            bound = warmup if core.position < warmup else limit
-            consumed = kernel.drive(bound)
-            if consumed and meter is not None:
-                meter.tick(consumed)
-            if core.position >= bound:
-                continue
-            record = records[core.position]
-            self._drive_events(self._record_events(core, record, hit=None))
-            core.position += 1
-            if meter is not None:
-                meter.tick()
-
-    def _run_interleaved(self, limits, warmup, meter=None, batch=False):
+    def _run_interleaved(self, limits, warmup, meter=None):
         """Event-driven interleave of per-core streams.
 
         Cores advance until each blocks on a DRAM request (or runs out
@@ -558,43 +491,18 @@ class SystemSimulator:
         # Per-cpu state: ("run", generator, reply) | ("blocked",) | None.
         state = {}
         blocked = {}  # req_id -> (cpu, generator, request)
-        kernels = {}
-        if batch:
-            kernels = {
-                core.cpu: BatchKernel(self, core, self._batch_size)
-                for core in self.cores
-                if core.imp is None
-            }
 
         def start_next(core):
-            """Begin the core's next record (handling warmup), or None.
-
-            With the batch kernel attached, bulk-consume regular records
-            first; only irregular records get an engine generator.  The
-            consume is safe inside Phase A because regular records never
-            touch shared state (the kernel refuses to run while
-            cross-core writebacks are pending).
-            """
+            """Begin the core's next record (handling warmup), or None."""
             nonlocal warm_cores
-            cpu = core.cpu
-            kern = kernels.get(cpu)
-            while True:
-                if core.position >= limits[cpu]:
-                    return None
-                if core.position == warmup:
-                    self._reset_measurement(core)
-                    warm_cores += 1
-                    if warm_cores == len(self.cores):
-                        self.energy.reset()
-                if kern is None:
-                    return self._record_events(core, core.trace.records[core.position])
-                bound = warmup if core.position < warmup else limits[cpu]
-                consumed = kern.consume_regular(bound)
-                if consumed:
-                    if meter is not None:
-                        meter.tick(consumed)
-                    continue
-                return self._record_events(core, core.trace.records[core.position])
+            if core.position >= limits[core.cpu]:
+                return None
+            if core.position == warmup:
+                self._reset_measurement(core)
+                warm_cores += 1
+                if warm_cores == len(self.cores):
+                    self.energy.reset()
+            return self._record_events(core, core.trace.records[core.position])
 
         _START = object()
         for core, limit in zip(self.cores, limits):

@@ -15,11 +15,7 @@ simulator regardless of parameter values:
 * **length monotonicity** -- simulating a longer prefix of the same
   trace never decreases any absolute hit count;
 * **online audit** -- a short baseline + TEMPO run under
-  ``--check-invariants full`` completes with zero violations;
-* **batch vs engine** -- the struct-of-arrays batch kernel
-  (``--kernel batch``) must produce bit-identical statistics to the
-  scalar engine on several workloads, and must be deterministic with
-  itself.
+  ``--check-invariants full`` completes with zero violations.
 
 Simulation modules are imported lazily through :func:`_load` --
 ``repro.verify`` sits above the sim stack, and the indirection also
@@ -43,12 +39,11 @@ def _load(name: str) -> Any:
 
 
 def _comparable(stats: Dict[str, Any]) -> Dict[str, Any]:
-    """Strip wall-clock keys and the producing-kernel tag: everything
-    else must be bit-identical."""
+    """Strip wall-clock keys: everything else must be bit-identical."""
     return {
         key: value
         for key, value in stats.items()
-        if not key.startswith("manifest.timing") and key != "manifest.kernel"
+        if not key.startswith("manifest.timing")
     }
 
 
@@ -228,57 +223,6 @@ def oracle_online_audit(length: int, seed: int) -> OracleResult:
     )
 
 
-#: Workloads the batch-kernel oracle cross-checks: pointer chasing
-#: (irregular, walk-heavy), table lookups (mixed), and a blocked small
-#: workload (regular-run heavy) -- together they cover every kernel
-#: path: bulk runs, inline TLB-hit heads, and event-engine fallback.
-_BATCH_ORACLE_WORKLOADS = ("btree", "xsbench", "bzip2_small")
-
-
-def oracle_batch_engine_equivalence(length: int, seed: int) -> OracleResult:
-    """The batch kernel is a pure optimisation: routing a run through
-    ``--kernel batch`` must not change one bit of the statistics, on
-    any workload, and two batch runs must agree with each other."""
-    registry = _load("repro.workloads.registry")
-    system = _load("repro.sim.system")
-    config = _load("repro.common.config").default_system_config().with_tempo(True)
-
-    def run(workload: str, kernel: str) -> Dict[str, Any]:
-        trace = registry.make_trace(workload, length=length, seed=seed)
-        result = system.SystemSimulator(
-            config, [trace], seed=seed, kernel=kernel
-        ).run()
-        return _comparable(result.stats)
-
-    checked = 0
-    for workload in _BATCH_ORACLE_WORKLOADS:
-        scalar = run(workload, "scalar")
-        batch = run(workload, "batch")
-        if scalar != batch:
-            return OracleResult(
-                "batch_engine_equivalence",
-                False,
-                "%s: batch kernel diverges from scalar engine: %s"
-                % (workload, _diff_keys(scalar, batch)),
-            )
-        checked += len(scalar)
-    again = run(_BATCH_ORACLE_WORKLOADS[0], "batch")
-    first = run(_BATCH_ORACLE_WORKLOADS[0], "batch")
-    if again != first:
-        return OracleResult(
-            "batch_engine_equivalence",
-            False,
-            "batch kernel is non-deterministic on %s: %s"
-            % (_BATCH_ORACLE_WORKLOADS[0], _diff_keys(again, first)),
-        )
-    return OracleResult(
-        "batch_engine_equivalence",
-        True,
-        "batch and scalar kernels agree on %d stats across %d workloads"
-        % (checked, len(_BATCH_ORACLE_WORKLOADS)),
-    )
-
-
 #: All oracles in execution order.
 ALL_ORACLES = (
     oracle_fast_engine_equivalence,
@@ -286,7 +230,6 @@ ALL_ORACLES = (
     oracle_tempo_replay_reduction,
     oracle_length_monotonicity,
     oracle_online_audit,
-    oracle_batch_engine_equivalence,
 )
 
 

@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -201,3 +204,15 @@ def test_experiment_unknown_figure():
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+
+
+def test_importing_the_cli_does_not_import_numpy():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    process = subprocess.run(
+        [sys.executable, "-c", "import sys, repro.cli; print('numpy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE,
+        universal_newlines=True,
+        check=True,
+    )
+    assert process.stdout.strip() == "False"

@@ -25,6 +25,8 @@ from repro.exec import (
     result_to_payload,
     simulate_cell,
 )
+from repro.exec.faults import FaultPlan
+from repro.exec.resilience import ResiliencePolicy, needs_isolation
 from repro.obs import EventTracer
 from repro.sim.system import SystemSimulator
 from repro.workloads.registry import make_trace
@@ -78,7 +80,7 @@ def _driver_three_ways(driver, cache_dir):
     kwargs = dict(workloads=WORKLOADS, length=LENGTH, seed=0)
     serial = driver(executor=ExperimentExecutor(), **kwargs)
     cache = ResultCache(str(cache_dir))
-    parallel = driver(executor=ExperimentExecutor(jobs=2, cache=cache), **kwargs)
+    parallel = driver(executor=ExperimentExecutor(workers=2, cache=cache), **kwargs)
     warm_executor = ExperimentExecutor(cache=cache)
     warm = driver(executor=warm_executor, **kwargs)
     return serial, parallel, warm, warm_executor
@@ -108,7 +110,7 @@ def test_cell_results_bit_identical_across_paths(tmp_path):
     """Full stats comparison, not just the driver's row projection."""
     serial = ExperimentExecutor().run_cells(_pair_cells())
     cache = ResultCache(str(tmp_path))
-    pooled = ExperimentExecutor(jobs=2, cache=cache).run_cells(_pair_cells())
+    pooled = ExperimentExecutor(workers=2, cache=cache).run_cells(_pair_cells())
     warm = ExperimentExecutor(cache=cache).run_cells(_pair_cells())
     for expected, a, b in zip(serial, pooled, warm):
         _assert_identical(expected, a)
@@ -249,6 +251,30 @@ def test_executor_memoizes_and_dedupes(tmp_path):
     executor.run_cell(cell)
     assert executor.counters["memo_hits"] == 1
     assert executor.counters["simulated"] == 1
+
+
+def test_needs_isolation_routing():
+    """The persistent pool amortizes spawn cost, so any multi-cell batch
+    with workers > 1 pools; single cells and workers=1 stay inline, and
+    kill/stall faults or a cell timeout always force the pool."""
+    config = default_system_config()
+    policy = ResiliencePolicy()
+    several = {
+        str(index): SimCell("btree", config, 800, seed=index)
+        for index in range(4)
+    }
+    one = {"0": SimCell("btree", config, 800, seed=0)}
+    assert needs_isolation(4, policy, None, pending=several)
+    assert not needs_isolation(4, policy, None, pending=one)
+    # workers=1 never pools on its own; a cell timeout always does.
+    assert not needs_isolation(1, policy, None, pending=several)
+    timeout_policy = ResiliencePolicy(cell_timeout=5.0)
+    assert needs_isolation(1, timeout_policy, None, pending=one)
+    # Kill and stall faults need a killable process regardless of size.
+    kills = FaultPlan(kill={"0": (0,)})
+    stalls = FaultPlan(stall={"0": (0,)})
+    assert needs_isolation(1, policy, kills, pending=one)
+    assert needs_isolation(1, policy, stalls, pending=one)
 
 
 def test_trace_cache_round_trip(tmp_path):

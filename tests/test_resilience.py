@@ -97,7 +97,7 @@ def test_worker_crash_mid_batch_requeues_on_fresh_worker(tmp_path, clean_results
     cells = _cells()
     plan = FaultPlan(kill={cells[0].key(): (0,), cells[2].key(): (0,)})
     executor = ExperimentExecutor(
-        jobs=2, cache=ResultCache(str(tmp_path)), faults=plan
+        workers=2, cache=ResultCache(str(tmp_path)), faults=plan
     )
     results = executor.run_cells(cells)
     assert executor.counters["crashes"] == 2
@@ -112,7 +112,7 @@ def test_cell_timeout_kills_then_succeeds_on_retry(tmp_path, clean_results):
     cells = _cells(2)
     plan = FaultPlan(delay={cells[1].key(): ((0, 30.0),)})
     executor = ExperimentExecutor(
-        jobs=2,
+        workers=2,
         cache=ResultCache(str(tmp_path)),
         faults=plan,
         resilience=ResiliencePolicy(max_retries=2, cell_timeout=5.0),
@@ -264,7 +264,7 @@ def test_kill_at_checkpoint_then_resume_is_bit_identical(tmp_path, clean_results
     keys = [cell.key() for cell in cells]
 
     aborted = ExperimentExecutor(
-        jobs=2, cache=ResultCache(cache_root), faults=FaultPlan(abort_after=2)
+        workers=2, cache=ResultCache(cache_root), faults=FaultPlan(abort_after=2)
     )
     with pytest.raises(SweepAborted):
         aborted.run_cells(cells)
@@ -272,7 +272,7 @@ def test_kill_at_checkpoint_then_resume_is_bit_identical(tmp_path, clean_results
     journal = CheckpointStore.for_batch(cache_root, keys)
     assert len(journal.done_keys()) == 2
 
-    resumed = ExperimentExecutor(jobs=2, cache=ResultCache(cache_root), resume=True)
+    resumed = ExperimentExecutor(workers=2, cache=ResultCache(cache_root), resume=True)
     results = resumed.run_cells(cells)
     # Zero re-simulation of completed cells: 2 resumed from the journal,
     # only the 2 interrupted ones simulated.

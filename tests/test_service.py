@@ -63,7 +63,7 @@ def test_driver_catalog_covers_figures_and_ablations():
             "figure": "ablation_prefetch_latency",
             "workloads": ["xsbench", "mcf"],
         },  # single-workload study
-        {"figure": "fig01", "kernel": "vector"},  # unknown kernel
+        {"figure": "fig01", "kernel": "vector"},  # unknown key
         {"figure": "fig01", "check_invariants": "always"},
         {"figure": "fig01", "max_retries": -2},
         {"figure": "fig01", "cell_timeout": 0},
@@ -208,6 +208,7 @@ def test_health_figures_and_cache_endpoints(server):
     health = client.health()
     assert health["status"] == "ok"
     assert set(health["jobs"]) >= {"queued", "running", "done", "failed"}
+    assert set(health["executor"]) == {"workers", "counters"}
     assert health["service"]["name"] == "repro-sweep-service"
     figures = client.figures()
     assert figures["figures"]["fig01"]["workloads"] == "list"

@@ -160,7 +160,7 @@ class NoPrintRule(Rule):
     fixit = (
         "write to the caller-supplied stream (CLI), use stderr for "
         "interactive progress, or route through repro.obs "
-        "(tracer/metrics/progress hooks)"
+        "(tracer, metrics registry, timeline)"
     )
 
     def check_module(self, module: Module) -> Iterator[Finding]:

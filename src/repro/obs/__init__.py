@@ -13,15 +13,17 @@ The measurement substrate every experiment and performance PR builds on:
   seed, trace identity, package version and timings attached to every
   :class:`~repro.sim.metrics.SimulationResult`.
 * :class:`~repro.obs.profiler.PhaseProfiler` -- wall-clock per phase and
-  records/sec throughput with a periodic progress callback.
+  records/sec throughput.
 * :class:`~repro.obs.timeline.TimelineRecorder` -- per-unit busy/idle
   utilization (:class:`~repro.obs.timeline.UtilizationLedger`), top-down
   translation/cache/DRAM/overlap bottleneck attribution, and periodic
   metric snapshots (:class:`~repro.obs.timeline.IntervalSampler`),
   rendered by ``repro timeline``.
 
-All hooks are nullable: a simulator built without a tracer, timeline or
-progress callback pays a single ``is None`` test per record.
+All hooks are nullable: a simulator built without a tracer or timeline
+pays a single ``is None`` test per hook site, and the per-record
+observers (timeline sampler, invariant audits) run from one loop over a
+tuple that is empty when they are off.
 """
 
 from repro.obs.manifest import RunManifest

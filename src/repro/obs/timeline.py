@@ -221,7 +221,7 @@ class IntervalSampler:
     """Snapshots the flattened metric namespace every *every* cycles.
 
     The simulator binds a collector (``metrics_registry().collect``) at
-    run start and calls :meth:`maybe_sample` once per retired record;
+    run start and calls :meth:`retire` once per retired record;
     :meth:`finish` takes the end-of-run snapshot.  Collection is
     side-effect-free, so sampling never perturbs the run and the series
     is deterministic across identical runs.
@@ -239,6 +239,10 @@ class IntervalSampler:
 
     def bind(self, collect: Callable[[], Dict[str, Any]]) -> None:
         self._collect = collect
+
+    def retire(self, machine: Any, core: Any) -> None:
+        """Per-record observer step: sample at the core's clock."""
+        self.maybe_sample(core.time)
 
     def maybe_sample(self, cycle: int) -> None:
         if cycle >= self._next and self._collect is not None:

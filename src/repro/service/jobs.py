@@ -318,7 +318,6 @@ class JobRunner:
             job.missing_cells = [
                 failure.key[:12] for failure in new_failures
             ]
-            job.state = "degraded" if new_failures else "done"
             job.counters = self.executor.counters_since(snapshot)
             self.store.save_result(
                 job.id,
@@ -330,6 +329,9 @@ class JobRunner:
                     "manifest": self.job_manifest(job),
                 },
             )
+            # Finished only once the result is on disk: a client that
+            # polls "done" then fetches the result must find it.
+            job.state = "degraded" if new_failures else "done"
         finally:
             if spec.check_invariants is not None:
                 self.executor.check_invariants = saved_invariants

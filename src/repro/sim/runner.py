@@ -17,16 +17,17 @@ def _resolve_trace(workload, length, seed):
     return make_trace(workload, length=length, seed=seed)
 
 
-def _can_use_executor(executor, workload, max_records, tracer, progress, timeline=None):
-    """Executor cells are whole named-workload runs with no live hooks;
-    anything else falls back to the direct path."""
+def _can_use_executor(executor, workload, max_records, tracer, timeline, check_invariants):
+    """Executor cells are whole named-workload runs with no live hooks,
+    audited only under the executor's own mode; anything else --
+    including a requested *check_invariants* -- takes the direct path."""
     return (
         executor is not None
         and isinstance(workload, str)
         and max_records is None
         and tracer is None
-        and progress is None
         and timeline is None
+        and check_invariants is None
     )
 
 
@@ -37,28 +38,29 @@ def run_workload(
     seed=0,
     max_records=None,
     tracer=None,
-    progress=None,
     executor=None,
     check_invariants=None,
     timeline=None,
 ):
     """Simulate one workload (a name or a prebuilt Trace) on *config*.
 
-    *tracer* (a :class:`~repro.obs.EventTracer`) records lifecycle spans,
-    *progress* is called periodically with ``(records_done, total)``, and
-    *timeline* (a :class:`~repro.obs.timeline.TimelineRecorder`) records
-    per-unit utilization and bottleneck attribution; all default to off
-    and cost nothing when off.
+    *tracer* (a :class:`~repro.obs.EventTracer`) records lifecycle spans
+    and *timeline* (a :class:`~repro.obs.timeline.TimelineRecorder`)
+    records per-unit utilization and bottleneck attribution; both default
+    to off and cost nothing when off.
 
     *executor* (an :class:`~repro.exec.ExperimentExecutor`) routes the
-    run through the result cache when the workload is a name and no
-    live hooks are requested -- bit-identical, but reusable.
+    run through the result cache when the workload is a name and neither
+    live hooks nor *check_invariants* are requested -- bit-identical, but
+    reusable.
 
     Returns a :class:`~repro.sim.metrics.SimulationResult`.
     """
     if config is None:
         config = default_system_config()
-    if _can_use_executor(executor, workload, max_records, tracer, progress, timeline):
+    if _can_use_executor(
+        executor, workload, max_records, tracer, timeline, check_invariants
+    ):
         from repro.exec import SimCell
 
         return executor.run_cell(SimCell(workload, config, length, seed))
@@ -68,7 +70,6 @@ def run_workload(
         [trace],
         seed=seed,
         tracer=tracer,
-        progress=progress,
         check_invariants=check_invariants,
         timeline=timeline,
     )
@@ -76,18 +77,19 @@ def run_workload(
 
 
 def run_baseline_and_tempo(
-    workload, config=None, length=20000, seed=0, max_records=None, progress=None,
+    workload, config=None, length=20000, seed=0, max_records=None,
     executor=None, check_invariants=None,
 ):
     """Run the same trace with TEMPO off and on.
 
     Returns ``(baseline_result, tempo_result)`` -- the comparison behind
     every performance figure in the paper.  With *executor*, the two
-    runs are submitted as one batch (so ``workers=2`` overlaps them).
+    runs are submitted as one batch (so ``workers=2`` overlaps them),
+    unless *check_invariants* is requested.
     """
     if config is None:
         config = default_system_config()
-    if _can_use_executor(executor, workload, max_records, None, progress):
+    if _can_use_executor(executor, workload, max_records, None, None, check_invariants):
         from repro.exec import SimCell
 
         baseline, tempo = executor.run_cells(
@@ -99,12 +101,10 @@ def run_baseline_and_tempo(
         return baseline, tempo
     trace = _resolve_trace(workload, length, seed)
     baseline = SystemSimulator(
-        config.with_tempo(False), [trace], seed=seed, progress=progress,
-        check_invariants=check_invariants,
+        config.with_tempo(False), [trace], seed=seed, check_invariants=check_invariants
     ).run(max_records)
     tempo = SystemSimulator(
-        config.with_tempo(True), [trace], seed=seed, progress=progress,
-        check_invariants=check_invariants,
+        config.with_tempo(True), [trace], seed=seed, check_invariants=check_invariants
     ).run(max_records)
     return baseline, tempo
 

@@ -42,7 +42,7 @@ from repro.mmu.mmu_cache import MmuCaches
 from repro.mmu.tlb import TlbHierarchy
 from repro.mmu.walker import PageTableWalker
 from repro.obs.manifest import RunManifest
-from repro.obs.profiler import PhaseProfiler, ProgressMeter
+from repro.obs.profiler import PhaseProfiler
 from repro.obs.registry import MetricsRegistry
 from repro.sched.controller import MemoryController
 from repro.sched.request import KIND_DEMAND, KIND_IMP_PREFETCH, KIND_PT, MemoryRequest
@@ -56,11 +56,6 @@ from repro.sim.metrics import (
 from repro.vm.address_space import AddressSpace
 from repro.vm.frame_allocator import FrameAllocator
 from repro.vm.superpage import make_policy
-
-#: Sentinel for :meth:`SystemSimulator._record_events`: "no TLB probe
-#: was done yet, perform it inside the engine".
-_TLB_PROBE = object()
-
 
 class _CoreContext:
     """Per-core machine state: one process on one core."""
@@ -123,10 +118,7 @@ class SystemSimulator:
         traces,
         seed=None,
         tracer=None,
-        progress=None,
-        progress_interval=5000,
         check_invariants=None,
-        force_engine=False,
         timeline=None,
     ):
         if isinstance(traces, (list, tuple)):
@@ -156,15 +148,10 @@ class SystemSimulator:
         #: as the tracer -- the off path is a single ``is None`` test
         #: and none of the recorded data enters ``result.stats``.
         self.timeline = timeline
-        self._progress = progress
-        self._progress_interval = progress_interval
-        #: When True, every record goes through the event engine even
-        #: when the TLB-hit fast path would apply (the fast-vs-engine
-        #: differential oracle forces both paths on the same input).
-        self._force_engine = bool(force_engine)
         #: Nullable invariant-audit suite + flight recorder
-        #: (:mod:`repro.verify`); like the tracer, hot paths pay one
-        #: ``is None`` test when ``check_invariants`` is off.
+        #: (:mod:`repro.verify`).  The suite is a per-record observer
+        #: (see :meth:`run`); the recorder is also fed walk and DRAM
+        #: events, each behind one ``is None`` test.
         self.audit = None
         self.recorder = None
         if check_invariants is not None and check_invariants != "off":
@@ -297,11 +284,6 @@ class SystemSimulator:
             warmup = min(limits) // 3
         warmup = min(warmup, min(limits) - 1) if min(limits) > 0 else 0
 
-        meter = None
-        if self._progress is not None:
-            meter = ProgressMeter(
-                self._progress, sum(limits), interval=self._progress_interval
-            )
         self.manifest = RunManifest(
             self.config,
             self.seed,
@@ -311,14 +293,20 @@ class SystemSimulator:
         sampler = self.timeline.sampler if self.timeline is not None else None
         if sampler is not None:
             sampler.bind(lambda: self.metrics_registry().collect())
+        # Per-record observers: each driver calls every observer's
+        # ``retire(sim, core)`` from one place, right after advancing
+        # ``core.position`` past the retired record.
+        observers = tuple(
+            observer for observer in (self.audit, sampler) if observer is not None
+        )
         profiler = self.profiler
         try:
             if len(self.cores) == 1:
                 profiler.begin("warmup" if warmup > 0 else "measure")
-                self._run_single(self.cores[0], limits[0], warmup, meter)
+                self._run_single(self.cores[0], limits[0], warmup, observers)
             else:
                 profiler.begin("simulate")
-                self._run_interleaved(limits, warmup, meter)
+                self._run_interleaved(limits, warmup, observers)
             profiler.begin("drain")
             final_time = self.controller.drain_all()
             if self.audit is not None:
@@ -327,8 +315,6 @@ class SystemSimulator:
             self._report_crash(exc)
             raise
         profiler.end()
-        if meter is not None:
-            meter.finish()
         self.manifest.timings = profiler.summary(
             records=sum(core.position for core in self.cores)
         )
@@ -376,31 +362,27 @@ class SystemSimulator:
         core.dram_refs = DramReferenceBreakdown()
         core.replay_service = ReplayServiceBreakdown()
 
-    def _run_single(self, core, limit, warmup, meter=None):
+    def _run_single(self, core, limit, warmup, observers):
         """Single-core driver with a TLB-hit fast path.
 
-        Records whose translation hits the TLB -- the overwhelming
-        majority on every workload -- are processed inline: no
-        generator, no event dispatch, and every hot callable/constant
-        bound to a local.  The inline path performs exactly the
-        operations of :meth:`_record_events` /
-        :meth:`_post_translation` in the same order, so results are
-        bit-identical to the event engine (test_system_fast_path pins
+        The driver probes the TLB exactly once per record (a probe
+        refreshes LRU state and counts a hit or miss).  Records whose
+        translation hits -- the overwhelming majority on every workload
+        -- are processed inline: no generator, no event dispatch, and
+        every hot callable/constant bound to a local.  The inline path
+        performs exactly the operations of :meth:`_record_events` /
+        :meth:`_post_translation` in the same order, flight-recorder
+        ``dram`` events included, so results are bit-identical to the
+        event engine (test_system_fast_path_matches_event_engine pins
         this against the traced run, which uses the engine for every
-        record).  TLB misses fall back to the engine with the probe
-        already done (a second lookup would perturb LRU state and hit
-        counters); tracing or IMP disable the fast path entirely.
+        record).  TLB misses go to the engine with the probe's result.
+        The gate is worked out once per run: a tracer, a timeline or
+        IMP sends every record through the engine; invariant audits
+        keep the fast path, because the audit suite is a per-record
+        observer like the timeline's sampler.
         """
         records = core.trace.records
-        fast = (
-            self.tracer is None
-            and core.imp is None
-            and not self._force_engine
-            and self.timeline is None
-        )
-        sampler = self.timeline.sampler if self.timeline is not None else None
-
-        audit = self.audit
+        fast = self.tracer is None and self.timeline is None and core.imp is None
         recorder = self.recorder
         controller = self.controller
         hierarchy = self.hierarchy
@@ -425,56 +407,50 @@ class SystemSimulator:
                 runtime = core.runtime
                 dram_refs = core.dram_refs
             record = records[core.position]
-            if fast:
-                vaddr = record.vaddr
+            vaddr = record.vaddr
+            hit = tlb_lookup(vaddr)
+            if hit is None or not fast:
+                self._drive_events(self._record_events(core, record, hit))
+            else:
+                frame, page_size, extra_latency = hit
                 time = core.time + record.gap * nonmem_per_gap
-                hit = tlb_lookup(vaddr)
-                if hit is not None:
-                    frame, page_size, extra_latency = hit
-                    time += 1 + extra_latency
-                    paddr = frame | (vaddr & offset_masks[page_size])
-                    result = access(cpu, paddr, record.is_write)
-                    time += result.latency
-                    if result.needs_dram:
-                        request = MemoryRequest(
-                            paddr & LINE_MASK,
-                            KIND_DEMAND,
-                            cpu=cpu,
-                            is_write=record.is_write,
-                            enqueue_time=time,
-                        )
-                        finish = submit_and_wait(request, time)
-                        runtime.dram_other_cycles += finish - time
-                        dram_refs.other += 1
-                        fill_from_memory(cpu, paddr, record.is_write)
-                        record_llc_fill()
-                        time = finish
-                    for victim in drain_writebacks():
-                        submit_writeback(victim.paddr, cpu, time)
-                        dram_refs.writeback += 1
-                    core.time = time
+                time += 1 + extra_latency
+                paddr = frame | (vaddr & offset_masks[page_size])
+                result = access(cpu, paddr, record.is_write)
+                time += result.latency
+                if result.needs_dram:
+                    request = MemoryRequest(
+                        paddr & LINE_MASK,
+                        KIND_DEMAND,
+                        cpu=cpu,
+                        is_write=record.is_write,
+                        enqueue_time=time,
+                    )
+                    finish = submit_and_wait(request, time)
+                    runtime.dram_other_cycles += finish - time
+                    dram_refs.other += 1
+                    fill_from_memory(cpu, paddr, record.is_write)
+                    record_llc_fill()
                     if recorder is not None:
                         recorder.record(
-                            "ref",
+                            "dram",
                             cpu=cpu,
-                            vaddr=vaddr,
-                            time=time,
-                            walked=False,
-                            write=record.is_write,
+                            kind="demand",
+                            paddr=request.paddr,
+                            outcome=request.outcome,
+                            service="dram",
+                            finish=finish,
                         )
-                else:
-                    self._drive_events(self._record_events(core, record, hit=None))
-            else:
-                self._process_record(core, record)
+                    time = finish
+                for victim in drain_writebacks():
+                    submit_writeback(victim.paddr, cpu, time)
+                    dram_refs.writeback += 1
+                core.time = time
             core.position += 1
-            if meter is not None:
-                meter.tick()
-            if audit is not None:
-                audit.tick(self)
-            if sampler is not None:
-                sampler.maybe_sample(core.time)
+            for observer in observers:
+                observer.retire(self, core)
 
-    def _run_interleaved(self, limits, warmup, meter=None):
+    def _run_interleaved(self, limits, warmup, observers):
         """Event-driven interleave of per-core streams.
 
         Cores advance until each blocks on a DRAM request (or runs out
@@ -487,7 +463,6 @@ class SystemSimulator:
         """
         controller = self.controller
         warm_cores = 0
-        sampler = self.timeline.sampler if self.timeline is not None else None
         # Per-cpu state: ("run", generator, reply) | ("blocked",) | None.
         state = {}
         blocked = {}  # req_id -> (cpu, generator, request)
@@ -502,7 +477,8 @@ class SystemSimulator:
                 warm_cores += 1
                 if warm_cores == len(self.cores):
                     self.energy.reset()
-            return self._record_events(core, core.trace.records[core.position])
+            record = core.trace.records[core.position]
+            return self._record_events(core, record, core.tlb.lookup(record.vaddr))
 
         _START = object()
         for core, limit in zip(self.cores, limits):
@@ -522,12 +498,8 @@ class SystemSimulator:
                         event = next(events) if reply is _START else events.send(reply)
                     except StopIteration:
                         core.position += 1
-                        if meter is not None:
-                            meter.tick()
-                        if self.audit is not None:
-                            self.audit.tick(self)
-                        if sampler is not None:
-                            sampler.maybe_sample(core.time)
+                        for observer in observers:
+                            observer.retire(self, core)
                         events = start_next(core)
                         if events is None:
                             state[cpu] = None
@@ -664,8 +636,11 @@ class SystemSimulator:
     #       serviced everything schedulable before `time`).
 
     def _process_record(self, core, record):
-        """Single-core driver: answer each event immediately."""
-        self._drive_events(self._record_events(core, record))
+        """Single-core driver for one record: probe the TLB, then answer
+        each event immediately."""
+        self._drive_events(
+            self._record_events(core, record, core.tlb.lookup(record.vaddr))
+        )
 
     def _drive_events(self, events):
         """Run one record's event generator to completion, answering
@@ -682,13 +657,12 @@ class SystemSimulator:
         except StopIteration:
             pass
 
-    def _record_events(self, core, record, hit=_TLB_PROBE):
+    def _record_events(self, core, record, hit):
         """One record's event stream.
 
-        *hit* carries a TLB probe already performed by the fast path
-        (probing is stateful -- LRU refresh plus hit/miss counters -- so
-        it must happen exactly once per record); the default sentinel
-        means "probe here".
+        *hit* is the driver's TLB probe for this record (probing is
+        stateful -- LRU refresh plus hit/miss counters -- so it happens
+        exactly once per record, in the driver).
         """
         tracer = self.tracer
         timeline = self.timeline
@@ -702,8 +676,6 @@ class SystemSimulator:
             core.attributing = True
 
         vaddr = record.vaddr
-        if hit is _TLB_PROBE:
-            hit = core.tlb.lookup(vaddr)
         walked = False
         leaf_pt_request = None
         if hit is not None:
@@ -761,15 +733,6 @@ class SystemSimulator:
                     "walked": walked,
                     "write": record.is_write,
                 },
-            )
-        if self.recorder is not None:
-            self.recorder.record(
-                "ref",
-                cpu=core.cpu,
-                vaddr=vaddr,
-                time=time,
-                walked=walked,
-                write=record.is_write,
             )
         core.time = time
 

@@ -547,6 +547,23 @@ class AuditorSuite:
         self.violations_found = 0
         self._since_checkpoint = 0
 
+    def retire(self, machine: Any, core: Any) -> None:
+        """Per-record observer step: *core* just retired a record.
+
+        Records the ``ref`` event in the flight recorder (after the
+        record's own walk and DRAM events), then ticks the cadence.
+        """
+        if self.recorder is not None:
+            record = core.trace.records[core.position - 1]
+            self.recorder.record(
+                "ref",
+                cpu=core.cpu,
+                vaddr=record.vaddr,
+                time=core.time,
+                write=record.is_write,
+            )
+        self.tick(machine)
+
     def tick(self, machine: Any) -> None:
         """One record retired; checkpoint when the interval elapses."""
         self.ticks += 1

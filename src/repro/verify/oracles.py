@@ -75,16 +75,16 @@ class OracleResult:
 
 def oracle_fast_engine_equivalence(length: int, seed: int) -> OracleResult:
     """The inlined TLB-hit fast path is a pure optimisation: forcing
-    every record through the event engine must not change one bit."""
+    every record through the event engine must not change one bit.  An
+    attached tracer forces the engine (it disables the fast path)."""
     registry = _load("repro.workloads.registry")
     system = _load("repro.sim.system")
+    tracer_cls = _load("repro.obs.tracer").EventTracer
     config = _load("repro.common.config").default_system_config().with_tempo(True)
     runs = []
-    for force_engine in (False, True):
+    for tracer in (None, tracer_cls(limit=0)):
         trace = registry.make_trace(ORACLE_WORKLOAD, length=length, seed=seed)
-        result = system.SystemSimulator(
-            config, [trace], seed=seed, force_engine=force_engine
-        ).run()
+        result = system.SystemSimulator(config, [trace], seed=seed, tracer=tracer).run()
         runs.append(_comparable(result.stats))
     if runs[0] == runs[1]:
         return OracleResult(

@@ -10,6 +10,7 @@ non-deterministic namespace.
 
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -28,6 +29,7 @@ from repro.exec import (
 from repro.exec.faults import FaultPlan
 from repro.exec.resilience import ResiliencePolicy, needs_isolation
 from repro.obs import EventTracer
+from repro.obs.timeline import TimelineRecorder
 from repro.sim.system import SystemSimulator
 from repro.workloads.registry import make_trace
 
@@ -323,3 +325,37 @@ def test_system_fast_path_matches_event_engine():
             config, [trace], seed=0, tracer=EventTracer(limit=16)
         ).run()
         _assert_identical(fast, traced)
+
+
+def test_fast_path_gate(monkeypatch):
+    """The bit-identity test above cannot see a gate that silently turns
+    the fast path off, so count event-engine entries: plain and audited
+    runs enter the engine once per TLB miss; a tracer, a timeline or IMP
+    send every record through it."""
+    entries = [0]
+    original = SystemSimulator._record_events
+
+    def counting(self, *args, **kwargs):
+        entries[0] += 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SystemSimulator, "_record_events", counting)
+    config = default_system_config()
+
+    def run(run_config=config, **hooks):
+        entries[0] = 0
+        trace = make_trace("bzip2_small", length=1500, seed=0)
+        result = SystemSimulator(run_config, [trace], seed=0, **hooks).run()
+        return entries[0], result.stats["core0.tlb.misses"], len(trace.records)
+
+    for hooks in ({}, {"check_invariants": "sample"}, {"check_invariants": "full"}):
+        engine, misses, records = run(**hooks)
+        assert 0 < engine == misses < records, hooks
+    imp_config = config.copy_with(imp=replace(config.imp, enabled=True))
+    for run_config, hooks in (
+        (config, {"tracer": EventTracer(limit=0)}),
+        (config, {"timeline": TimelineRecorder()}),
+        (imp_config, {}),
+    ):
+        engine, misses, records = run(run_config, **hooks)
+        assert engine == records, hooks

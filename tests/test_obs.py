@@ -12,11 +12,9 @@ from repro.obs import (
     write_stats_json,
 )
 from repro.obs.manifest import config_hash
-from repro.obs.profiler import ProgressMeter
 from repro.common.stats import StatGroup
 from repro.sim.multicore import MulticoreSimulator
 from repro.sim.runner import run_workload
-from repro.sim.system import SystemSimulator
 from repro.workloads.registry import make_trace
 
 
@@ -116,7 +114,7 @@ def test_manifest_hash_tracks_config_changes():
 
 
 # ----------------------------------------------------------------------
-# PhaseProfiler / ProgressMeter
+# PhaseProfiler
 # ----------------------------------------------------------------------
 
 
@@ -130,26 +128,6 @@ def test_profiler_accumulates_phases():
     assert set(summary) >= {"wall_seconds", "wall_seconds.a", "wall_seconds.b"}
     assert summary["records"] == 1000
     assert summary["records_per_second"] >= 0.0
-
-
-def test_progress_meter_rate_limits():
-    calls = []
-    meter = ProgressMeter(lambda done, total: calls.append((done, total)), 100, interval=40)
-    for _ in range(100):
-        meter.tick()
-    meter.finish()
-    assert calls[-1] == (100, 100)
-    assert len(calls) <= 4  # 40, 80, finish (plus at most one boundary)
-
-
-def test_progress_meter_defaults_to_stderr(capsys):
-    meter = ProgressMeter(None, 50, interval=25)
-    for _ in range(50):
-        meter.tick()
-    meter.finish()
-    captured = capsys.readouterr()
-    assert captured.out == ""  # stdout stays clean for results
-    assert "progress: 50/50 records" in captured.err
 
 
 # ----------------------------------------------------------------------
@@ -191,22 +169,6 @@ def test_tracer_does_not_change_timing():
     trace2 = make_trace("bzip2_small", length=500, seed=4)
     traced = run_workload(trace2, length=500, seed=4, tracer=EventTracer())
     assert plain.total_cycles == traced.total_cycles
-
-
-def test_progress_callback_fires():
-    calls = []
-    trace = make_trace("bzip2_small", length=400, seed=5)
-    simulator = SystemSimulator(
-        default_system_config(),
-        [trace],
-        seed=5,
-        progress=lambda done, total: calls.append((done, total)),
-        progress_interval=100,
-    )
-    simulator.run()
-    assert calls, "progress callback never fired"
-    total = len(trace.records)
-    assert calls[-1] == (total, total)
 
 
 def test_multicore_timings_and_progress():

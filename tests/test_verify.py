@@ -16,7 +16,8 @@ from repro.common.errors import ConfigError, InvariantViolation, SimulationError
 from repro.exec import ExperimentExecutor, ResultCache, SimCell
 from repro.exec.cache import QuarantineReason
 from repro.exec.resilience import CellExecutionError, ResiliencePolicy
-from repro.sim.runner import run_workload
+from repro.obs import EventTracer
+from repro.sim.runner import run_baseline_and_tempo, run_workload
 from repro.sim.system import SystemSimulator
 from repro.verify import (
     AuditorSuite,
@@ -214,6 +215,47 @@ def test_full_audit_is_bit_identical_to_off():
     # The audit summary rides in the nested manifest, never in flat().
     assert "manifest.audit" not in full.stats
     assert "audit" in full.manifest.as_dict()
+
+
+def test_fast_path_records_what_the_engine_records():
+    """The flight recorder holds every reference, walk and DRAM access
+    whichever driver ran: an audited run keeps the TLB-hit fast path,
+    and an attached tracer sends every record through the event engine,
+    yet both record the same events."""
+    config = default_system_config().with_tempo(True)
+    runs = []
+    for tracer in (None, EventTracer(limit=0)):
+        trace = make_trace("bzip2_small", length=3000, seed=0)
+        sim = SystemSimulator(
+            config, [trace], seed=0, tracer=tracer, check_invariants="sample"
+        )
+        result = sim.run()
+        runs.append(
+            (result.manifest.audit["flight_recorder"]["recorded"], sim.recorder.events())
+        )
+    assert runs[0] == runs[1]
+    events = runs[0][1]
+    assert any(e["event"] == "dram" and e["kind"] == "demand" for e in events)
+    refs = [e for e in events if e["event"] == "ref"]
+    assert refs and all(
+        set(e) == {"event", "cpu", "vaddr", "time", "write"} for e in refs
+    )
+
+
+def test_executor_helpers_honour_check_invariants():
+    """A requested audit takes the direct path: an executor cell would
+    run under the executor's own (here: no) audit mode."""
+    executor = ExperimentExecutor()
+    single = run_workload(
+        "xsbench", length=600, executor=executor, check_invariants="full"
+    )
+    pair = run_baseline_and_tempo(
+        "xsbench", length=600, executor=executor, check_invariants="full"
+    )
+    for result in (single,) + tuple(pair):
+        assert result.manifest is not None
+        assert result.manifest.audit["mode"] == "full"
+        assert result.manifest.audit["violations"] == 0
 
 
 def test_multicore_full_audit_runs_clean():
